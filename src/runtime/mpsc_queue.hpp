@@ -17,6 +17,16 @@
 //
 // Contract: any number of threads may call try_push; exactly one thread calls
 // try_pop. Capacity is rounded up to a power of two.
+//
+// Peak-depth contract: 1 <= every occupancy a push records <= capacity(), so
+// stats().peak_size <= capacity(). Two orderings make it hold without a clamp:
+//   - a producer reads the consumer's tail (acquire) *before* it publishes its
+//     slot. The consumer cannot pop past an unpublished slot, so the tail it
+//     sees is <= pos and the depth pos + 1 - tail is >= 1;
+//   - the consumer publishes the new tail (release) *before* the release store
+//     that frees the slot. A producer that claims the freed slot (acquire on
+//     its sequence number) therefore sees tail >= pos + 1 - capacity(), so the
+//     depth is <= capacity().
 #pragma once
 
 #include <atomic>
@@ -65,10 +75,13 @@ class MpscQueue {
       if (diff == 0) {
         if (head_.compare_exchange_weak(pos, pos + 1,
                                         std::memory_order_relaxed)) {
+          // Read the tail while slot `pos` is still unpublished (see the
+          // peak-depth contract above): tail <= pos until the store below.
+          const std::size_t tail = tail_cache_.load(std::memory_order_acquire);
           slot.value = std::move(value);
           slot.seq.store(pos + 1, std::memory_order_release);
           enqueues_.fetch_add(1, std::memory_order_relaxed);
-          note_size(pos + 1 - tail_cache_.load(std::memory_order_relaxed));
+          note_size(pos + 1 - tail);
           return true;
         }
         cas_retries_.fetch_add(1, std::memory_order_relaxed);
@@ -89,18 +102,24 @@ class MpscQueue {
     const std::size_t seq = slot.seq.load(std::memory_order_acquire);
     if (seq != tail_ + 1) return std::nullopt;
     std::optional<T> value(std::move(slot.value));
-    slot.seq.store(tail_ + mask_ + 1, std::memory_order_release);
     ++tail_;
-    tail_cache_.store(tail_, std::memory_order_relaxed);
+    // Publish the tail before freeing the slot, so a producer that claims the
+    // freed slot never reads a tail one behind (see the peak-depth contract).
+    tail_cache_.store(tail_, std::memory_order_release);
+    slot.seq.store(tail_ + mask_, std::memory_order_release);
     dequeues_.fetch_add(1, std::memory_order_relaxed);
     return value;
   }
 
-  /// Approximate occupancy (exact when producers are quiescent).
+  /// Approximate occupancy (exact when producers are quiescent), clamped to
+  /// [0, capacity()]. A reader outside the queue's threads can pair a fresh
+  /// head with a stale tail (or the reverse), so the raw difference may fall
+  /// outside the ring's real depth.
   std::size_t size() const {
     const std::size_t head = head_.load(std::memory_order_acquire);
     const std::size_t tail = tail_cache_.load(std::memory_order_acquire);
-    return head >= tail ? head - tail : 0;
+    if (head <= tail) return 0;
+    return head - tail < capacity() ? head - tail : capacity();
   }
   bool empty() const { return size() == 0; }
   std::size_t capacity() const { return mask_ + 1; }

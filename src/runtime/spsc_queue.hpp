@@ -54,7 +54,10 @@ class SpscQueue {
     return value;
   }
 
-  /// Approximate from a non-owning thread, exact from either owning thread.
+  /// Never wraps from either owning thread, whose own cursor is current. From
+  /// a third thread the two loads can pair a stale head with a fresh tail and
+  /// the unsigned difference wraps; the InferenceBatcher workers
+  /// (model_pool.cpp) poll empty() only on their own consumer side.
   std::size_t size() const {
     const std::size_t head = head_.load(std::memory_order_acquire);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
