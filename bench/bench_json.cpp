@@ -7,6 +7,9 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
+
+#include "nn/kernels.hpp"
 
 namespace fenix::bench {
 namespace {
@@ -132,6 +135,18 @@ std::vector<std::pair<std::string, std::string>> parse_entries(
   }
 }
 
+// The machine and build every section of the file was measured on,
+// rewritten with each section so it always describes the latest writer.
+JsonSection host_section() {
+  JsonSection host;
+  host.put("kernel_isa", std::string(nn::kernels::isa_name()));
+  host.put("hardware_threads",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  host.put("build_type", std::string(FENIX_BUILD_TYPE));
+  host.put("compiler", std::string(__VERSION__));
+  return host;
+}
+
 }  // namespace
 
 void JsonSection::put(const std::string& key, double value) {
@@ -165,25 +180,27 @@ bool write_bench_json(const std::string& name, const JsonSection& section,
     }
   }
 
-  std::ostringstream body;
-  body << "{\n";
-  bool first_entry = true;
-  for (const auto& [key, value] : section.entries()) {
-    if (!first_entry) body << ",\n";
-    first_entry = false;
-    body << "    \"" << escape(key) << "\": " << value;
-  }
-  body << "\n  }";
-
-  bool replaced = false;
-  for (auto& [existing_name, existing_body] : sections) {
-    if (existing_name == name) {
-      existing_body = body.str();
-      replaced = true;
-      break;
+  const auto upsert = [&sections](const std::string& section_name,
+                                  const JsonSection& entries) {
+    std::ostringstream body;
+    body << "{\n";
+    bool first_entry = true;
+    for (const auto& [key, value] : entries.entries()) {
+      if (!first_entry) body << ",\n";
+      first_entry = false;
+      body << "    \"" << escape(key) << "\": " << value;
     }
-  }
-  if (!replaced) sections.emplace_back(name, body.str());
+    body << "\n  }";
+    for (auto& [existing_name, existing_body] : sections) {
+      if (existing_name == section_name) {
+        existing_body = body.str();
+        return;
+      }
+    }
+    sections.emplace_back(section_name, body.str());
+  };
+  upsert(name, section);
+  upsert("host", host_section());
 
   std::ofstream out(path, std::ios::trunc);
   if (!out) {

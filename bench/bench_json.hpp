@@ -4,8 +4,8 @@
 // sweep wall-clock serial vs parallel) under its own top-level section of
 // one JSON file, so successive PRs accumulate a machine-readable performance
 // history next to the human-readable tables. Benches re-run at any time and
-// only overwrite their own section; everything else in the file is
-// preserved.
+// only overwrite their own section (plus the shared "host" fingerprint);
+// everything else in the file is preserved.
 //
 // File: $FENIX_BENCH_JSON if set, else BENCH_PR1.json in the working
 // directory. The format is a flat two-level object:
@@ -42,7 +42,9 @@ class JsonSection {
 std::string bench_json_path(const std::string& default_file = "BENCH_PR1.json");
 
 /// Merges `section` under `name` into the perf-tracking file, preserving all
-/// other sections. Returns false (after printing a warning) if the file
+/// other sections, and rewrites the "host" section: the kernel rung the nn
+/// kernels dispatched to (nn::kernels::isa_name()), hardware threads, build
+/// type and compiler. Returns false (after printing a warning) if the file
 /// cannot be written; benches should not fail on a read-only directory.
 bool write_bench_json(const std::string& name, const JsonSection& section,
                       const std::string& default_file = "BENCH_PR1.json");

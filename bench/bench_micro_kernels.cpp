@@ -414,17 +414,38 @@ void report_kernel_speedups(bool smoke) {
     const auto model = make_quantized_cnn();
     std::vector<nn::Token> tokens(9, nn::Token{10, 3});
     nn::Scratch scratch;
-    const double blocked = time_ns_per_op(
+    const double single = time_ns_per_op(
         [&] { benchmark::DoNotOptimize(model.predict(tokens, scratch)); },
         min_iters, min_seconds);
     const double reference = time_ns_per_op(
         [&] { benchmark::DoNotOptimize(model.logits_q_reference(tokens)); },
         min_iters, min_seconds);
-    section.put("cnn_infer_scratch_ns", blocked);
+    // The pipelined replay's frame: 16 windows per predict_batch call,
+    // reported per window beside the single-window figure above.
+    constexpr std::size_t kBatch = 16;
+    std::vector<nn::Token> windows;
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      windows.insert(windows.end(), 9,
+                     nn::Token{static_cast<std::uint16_t>(10 + b), 3});
+    }
+    std::vector<std::int16_t> classes(kBatch);
+    const double batch16 =
+        time_ns_per_op(
+            [&] {
+              model.predict_batch(windows.data(), kBatch, scratch,
+                                  classes.data());
+              benchmark::DoNotOptimize(classes.data());
+            },
+            min_iters, min_seconds) /
+        static_cast<double>(kBatch);
+    section.put("cnn_infer_scratch_ns", single);
+    section.put("cnn_infer_batch16_ns", batch16);
     section.put("cnn_infer_reference_ns", reference);
-    section.put("cnn_infer_speedup", blocked > 0 ? reference / blocked : 0.0);
-    std::printf("cnn inference:  blocked %8.1f ns  reference %8.1f ns  (%.2fx)\n",
-                blocked, reference, blocked > 0 ? reference / blocked : 0.0);
+    section.put("cnn_infer_speedup", single > 0 ? reference / single : 0.0);
+    std::printf("cnn inference:  single %8.1f ns  batch16 %8.1f ns/window  "
+                "reference %8.1f ns  (%.2fx)\n",
+                single, batch16, reference,
+                single > 0 ? reference / single : 0.0);
   }
 
   bench::write_bench_json("kernels", section);

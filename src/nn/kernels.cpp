@@ -202,15 +202,6 @@ void gemv_i4_packed_ref(const std::uint8_t* packed, std::size_t rows,
 
 // ---- Ternary sparse kernels ----
 
-void gemv_acc_ternary(const std::uint16_t* idx, const std::uint32_t* seg,
-                      std::size_t rows, const std::int8_t* x,
-                      std::int32_t* acc) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint32_t p0 = seg[2 * r], p1 = seg[2 * r + 1], p2 = seg[2 * r + 2];
-    acc[r] = sum_indexed(idx + p0, p1 - p0, x) - sum_indexed(idx + p1, p2 - p1, x);
-  }
-}
-
 void gemv_ternary(const std::uint16_t* idx, const std::uint32_t* seg,
                   std::size_t rows, const std::int8_t* x,
                   const std::int32_t* bias, const std::int32_t* shift,
@@ -263,6 +254,8 @@ void conv1d_ternary(const std::uint16_t* idx, const std::uint32_t* seg,
 
 // ---- INT4 shift/add kernels ----
 
+namespace {
+
 void gemv_acc_i4(const std::int8_t* plane, std::size_t rows,
                  std::size_t row_stride, std::size_t cols, const std::int8_t* x,
                  std::int32_t* acc) {
@@ -294,6 +287,8 @@ void gemv_acc_i4(const std::int8_t* plane, std::size_t rows,
     acc[r] = a;
   }
 }
+
+}  // namespace
 
 void gemv_i4(const std::int8_t* plane, std::size_t rows, std::size_t row_stride,
              std::size_t cols, const std::int8_t* x, const std::int32_t* bias,

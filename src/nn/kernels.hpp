@@ -113,14 +113,11 @@ void gemv_i4_packed_ref(const std::uint8_t* packed, std::size_t rows,
                         const std::int32_t* shift, bool relu, std::int8_t* y);
 
 /// Multiply-free ternary GEMV over the sparse idx/seg form, 4-way unrolled
-/// within each run. acc variant returns raw INT32 accumulators.
+/// within each run.
 void gemv_ternary(const std::uint16_t* idx, const std::uint32_t* seg,
                   std::size_t rows, const std::int8_t* x,
                   const std::int32_t* bias, const std::int32_t* shift,
                   bool relu, std::int8_t* y);
-void gemv_acc_ternary(const std::uint16_t* idx, const std::uint32_t* seg,
-                      std::size_t rows, const std::int8_t* x,
-                      std::int32_t* acc);
 
 /// Ternary 1-D convolution ('same' padding, stride 1) over the sparse form.
 /// Row width is in_ch*kernel; each timestep's valid tap window selects the
@@ -138,9 +135,6 @@ void conv1d_ternary(const std::uint16_t* idx, const std::uint32_t* seg,
 void gemv_i4(const std::int8_t* plane, std::size_t rows, std::size_t row_stride,
              std::size_t cols, const std::int8_t* x, const std::int32_t* bias,
              const std::int32_t* shift, bool relu, std::int8_t* y);
-void gemv_acc_i4(const std::int8_t* plane, std::size_t rows,
-                 std::size_t row_stride, std::size_t cols, const std::int8_t* x,
-                 std::int32_t* acc);
 void conv1d_i4(const std::int8_t* plane, std::size_t out_ch, std::size_t in_ch,
                std::size_t kernel, const std::int8_t* x, std::size_t T,
                const std::int32_t* bias, const std::int32_t* shift, bool relu,
@@ -170,7 +164,7 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
 // ---- SIMD variants (kernels_simd.cpp) ----
 //
 // Explicitly vectorized AVX2 / AVX-512 versions of the kernels above, used
-// by the batched Model Engine submission path. They widen INT8 operands to
+// by every quantized inference (per-window predict and the batched path). They widen INT8 operands to
 // INT16, multiply-accumulate pairs into INT32 lanes (vpmaddwd: each product
 // is at most 128*127, so a pair sum fits INT32 with enormous margin), and
 // reduce the lanes to the same exact INT32 dot product the scalar loops
@@ -180,20 +174,33 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
 // entry point falls back to the scalar kernel, so results never depend on
 // the ISA, only speed does.
 
-/// True when the running CPU has at least AVX2 (the _simd entry points below
-/// then use vector code; otherwise they forward to the scalar kernels).
-bool simd_available();
+/// The kernel rung the _simd and batch-lane entry points take on this CPU:
+/// "avx512" (AVX-512BW), "avx2" or "scalar" (no AVX2: every entry point
+/// forwards to the scalar kernels). Chosen once per process; it changes speed
+/// only, never results.
+const char* isa_name();
 
-/// Bit-identical SIMD counterparts of gemv_i8 / gemv_acc_i8 / conv1d_i8.
+/// Bit-identical SIMD counterparts of gemv_i8 / gemv_acc_i8.
 void gemv_i8_simd(const std::int8_t* w, std::size_t rows, std::size_t row_stride,
                   std::size_t cols, const std::int8_t* x, const std::int32_t* bias,
                   int shift, bool relu, std::int8_t* y);
 void gemv_acc_i8_simd(const std::int8_t* w, std::size_t rows,
                       std::size_t row_stride, std::size_t cols,
                       const std::int8_t* x, std::int32_t* acc);
-void conv1d_i8_simd(const std::int8_t* w, std::size_t out_ch, std::size_t in_ch,
-                    std::size_t kernel, const std::int8_t* x, std::size_t T,
-                    const std::int32_t* bias, int shift, bool relu, std::int8_t* y);
+
+/// Time-lane convolution, bit-identical to conv1d_i8. The T output positions
+/// are the lanes of the batch-lane GEMM below: each chunk of up to
+/// gemm_batch_lanes() positions is one gemm_pack_x over their kernel windows
+/// (read from a copy of x with kernel/2 zero rows on each side, so taps
+/// outside [0, T) add nothing) and one gemm_i8_batch against `wpairs`
+/// (pack_weight_pairs of w). The scalar rung, shift <= 0 and a null `wpairs`
+/// run the blocked conv1d_i8 on `w` instead. The padded plane and packed
+/// operand live in a per-thread workspace that only ever grows.
+void conv1d_i8_simd(const std::int8_t* w, const std::int32_t* wpairs,
+                    std::size_t out_ch, std::size_t in_ch, std::size_t kernel,
+                    const std::int8_t* x, std::size_t T,
+                    const std::int32_t* bias, int shift, bool relu,
+                    std::int8_t* y);
 
 // ---- Batch-lane GEMM (kernels_simd.cpp) ----
 //

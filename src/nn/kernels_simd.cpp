@@ -16,10 +16,17 @@
 // cached; compilation uses per-function target attributes so no global
 // -mavx* flags leak into the rest of the build (the baseline stays plain
 // x86-64 and non-AVX hosts still run everything through the scalar path).
+//
+// The convolution does not use the ladder: conv1d_i8_simd makes the T
+// output positions the lanes of the batch-lane GEMM below, so its
+// accumulation is purely vertical, with no horizontal reduction at all.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "kernel_rungs.hpp"
 #include "kernels.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -30,6 +37,7 @@
 #endif
 
 namespace fenix::nn::kernels {
+using rung::Isa;
 namespace {
 
 // Requantization identical to the scalar gemv_i8 epilogue.
@@ -41,15 +49,13 @@ inline std::int8_t requantize(std::int32_t acc, std::int32_t bias, int shift,
   return saturate_i8(v);
 }
 
-#if FENIX_SIMD_X86
-
-enum class Isa { kScalar, kAvx2, kAvx512 };
-
 Isa detect_isa() {
+#if FENIX_SIMD_X86
   if (__builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512f")) {
     return Isa::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
+#endif
   return Isa::kScalar;
 }
 
@@ -57,6 +63,11 @@ Isa isa() {
   static const Isa cached = detect_isa();
   return cached;
 }
+
+// A rung the CPU lacks runs as the dispatched rung instead.
+Isa clamp_rung(Isa r) { return rung::supported(r) ? r : isa(); }
+
+#if FENIX_SIMD_X86
 
 // AVX-512VNNI gates the dpbusd sub-INT8 path; detection is separate from the
 // Isa ladder because VNNI only changes speed, never results.
@@ -670,15 +681,19 @@ void gemm_acc_batch_scalar(const std::int32_t* wpairs, std::size_t rows,
   }
 }
 
+// Time-lane convolution workspace: the input plane with `pad` zero rows on
+// each side, the packed GEMM operand and the rows x lanes GEMM output. One
+// per thread, grown to the largest layer that thread has run, so a steady
+// stream of inferences allocates nothing.
+struct TimeLaneWorkspace {
+  std::vector<std::int8_t> xpad;
+  std::vector<std::int32_t> packed;
+  std::vector<std::int8_t> out;
+};
+
 }  // namespace
 
-bool simd_available() {
-#if FENIX_SIMD_X86
-  return isa() != Isa::kScalar;
-#else
-  return false;
-#endif
-}
+const char* isa_name() { return rung::name(isa()); }
 
 void gemv_acc_i8_simd(const std::int8_t* w, std::size_t rows,
                       std::size_t row_stride, std::size_t cols,
@@ -702,35 +717,7 @@ void gemv_i8_simd(const std::int8_t* w, std::size_t rows,
                   std::size_t row_stride, std::size_t cols,
                   const std::int8_t* x, const std::int32_t* bias, int shift,
                   bool relu, std::int8_t* y) {
-#if FENIX_SIMD_X86
-  if (isa() != Isa::kScalar) {
-    std::size_t r = 0;
-    std::int32_t acc[4];
-    for (; r + 4 <= rows; r += 4) {
-      const std::int8_t* base = w + r * row_stride;
-      if (isa() == Isa::kAvx512) {
-        dot4_avx512(base, base + row_stride, base + 2 * row_stride,
-                    base + 3 * row_stride, x, cols, acc);
-      } else {
-        dot4_avx2(base, base + row_stride, base + 2 * row_stride,
-                  base + 3 * row_stride, x, cols, acc);
-      }
-      for (int i = 0; i < 4; ++i) {
-        y[r + i] = requantize(acc[i], bias[r + i], shift, relu);
-      }
-    }
-    for (; r < rows; ++r) {
-      if (isa() == Isa::kAvx512) {
-        dot1_avx512(w + r * row_stride, x, cols, acc);
-      } else {
-        dot1_avx2(w + r * row_stride, x, cols, acc);
-      }
-      y[r] = requantize(acc[0], bias[r], shift, relu);
-    }
-    return;
-  }
-#endif
-  gemv_i8(w, rows, row_stride, cols, x, bias, shift, relu, y);
+  rung::gemv_i8_simd(isa(), w, rows, row_stride, cols, x, bias, shift, relu, y);
 }
 
 void gemv_acc_sub8_simd(const std::uint8_t* biased, std::size_t rows,
@@ -803,7 +790,7 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
   const std::size_t pad = kernel / 2;
   const std::size_t row_stride = in_ch * kernel;
   for (std::size_t ti = 0; ti < T; ++ti) {
-    // Valid tap window, as in conv1d_i8_simd: survivors form one contiguous
+    // Valid tap window, as in conv1d_i8: survivors form one contiguous
     // span of both x and each (biased) weight row.
     const std::size_t k_lo = pad > ti ? pad - ti : 0;
     const std::size_t k_hi = ti + (kernel - pad) <= T ? kernel : T + pad - ti;
@@ -815,19 +802,7 @@ void conv1d_sub8_simd(const std::uint8_t* biased, std::size_t out_ch,
   }
 }
 
-std::size_t gemm_batch_lanes() {
-#if FENIX_SIMD_X86
-  switch (isa()) {
-    case Isa::kAvx512:
-      return 16;
-    case Isa::kAvx2:
-      return 8;
-    case Isa::kScalar:
-      break;
-  }
-#endif
-  return 1;
-}
+std::size_t gemm_batch_lanes() { return rung::gemm_lanes(isa()); }
 
 std::vector<std::int32_t> pack_weight_pairs(const std::int8_t* w,
                                             std::size_t rows,
@@ -851,23 +826,7 @@ std::vector<std::int32_t> pack_weight_pairs(const std::int8_t* w,
 
 void gemm_pack_x(const std::int8_t* const* xs, std::size_t lanes_used,
                  std::size_t K, std::int32_t* packed) {
-  const std::size_t lanes = gemm_batch_lanes();
-  const std::size_t kpairs = (K + 1) / 2;
-  if (lanes_used < lanes) {
-    std::fill(packed, packed + kpairs * lanes, 0);
-  }
-  for (std::size_t b = 0; b < lanes_used; ++b) {
-    const std::int8_t* x = xs[b];
-    std::int32_t* col = packed + b;
-    for (std::size_t kp = 0; kp < kpairs; ++kp) {
-      const std::int16_t x0 = x[2 * kp];
-      const std::int16_t x1 =
-          2 * kp + 1 < K ? static_cast<std::int16_t>(x[2 * kp + 1]) : 0;
-      col[kp * lanes] =
-          static_cast<std::int32_t>(static_cast<std::uint16_t>(x0)) |
-          (static_cast<std::int32_t>(static_cast<std::uint16_t>(x1)) << 16);
-    }
-  }
+  rung::gemm_pack_x(isa(), xs, lanes_used, K, packed);
 }
 
 void gemm_acc_i8_batch(const std::int32_t* wpairs, std::size_t rows,
@@ -892,8 +851,80 @@ void gemm_i8_batch(const std::int32_t* wpairs, std::size_t rows,
                    std::size_t kpairs, const std::int32_t* packed_x,
                    const std::int32_t* bias, int shift, bool relu,
                    std::int8_t* out) {
+  rung::gemm_i8_batch(isa(), wpairs, rows, kpairs, packed_x, bias, shift, relu,
+                      out);
+}
+
+void conv1d_i8_simd(const std::int8_t* w, const std::int32_t* wpairs,
+                    std::size_t out_ch, std::size_t in_ch, std::size_t kernel,
+                    const std::int8_t* x, std::size_t T,
+                    const std::int32_t* bias, int shift, bool relu,
+                    std::int8_t* y) {
+  rung::conv1d_i8_simd(isa(), w, wpairs, out_ch, in_ch, kernel, x, T, bias,
+                       shift, relu, y);
+}
+
+// ---- per-rung forms (kernel_rungs.hpp) ----
+
+namespace rung {
+
+Isa dispatched() { return isa(); }
+
+bool supported(Isa r) {
+  return static_cast<int>(r) <= static_cast<int>(isa());
+}
+
+const char* name(Isa r) {
+  switch (r) {
+    case Isa::kAvx512:
+      return "avx512";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kScalar:
+      break;
+  }
+  return "scalar";
+}
+
+std::size_t gemm_lanes(Isa r) {
+  switch (clamp_rung(r)) {
+    case Isa::kAvx512:
+      return 16;
+    case Isa::kAvx2:
+      return 8;
+    case Isa::kScalar:
+      break;
+  }
+  return 1;
+}
+
+void gemm_pack_x(Isa r, const std::int8_t* const* xs, std::size_t lanes_used,
+                 std::size_t K, std::int32_t* packed) {
+  const std::size_t lanes = gemm_lanes(r);
+  const std::size_t kpairs = (K + 1) / 2;
+  if (lanes_used < lanes) {
+    std::fill(packed, packed + kpairs * lanes, 0);
+  }
+  for (std::size_t b = 0; b < lanes_used; ++b) {
+    const std::int8_t* x = xs[b];
+    std::int32_t* col = packed + b;
+    for (std::size_t kp = 0; kp < kpairs; ++kp) {
+      const std::int16_t x0 = x[2 * kp];
+      const std::int16_t x1 =
+          2 * kp + 1 < K ? static_cast<std::int16_t>(x[2 * kp + 1]) : 0;
+      col[kp * lanes] =
+          static_cast<std::int32_t>(static_cast<std::uint16_t>(x0)) |
+          (static_cast<std::int32_t>(static_cast<std::uint16_t>(x1)) << 16);
+    }
+  }
+}
+
+void gemm_i8_batch([[maybe_unused]] Isa r, const std::int32_t* wpairs,
+                   std::size_t rows, std::size_t kpairs,
+                   const std::int32_t* packed_x, const std::int32_t* bias,
+                   int shift, bool relu, std::int8_t* out) {
 #if FENIX_SIMD_X86
-  switch (isa()) {
+  switch (clamp_rung(r)) {
     case Isa::kAvx512:
       gemm_i8_batch_avx512(wpairs, rows, kpairs, packed_x, bias, shift, relu,
                            out);
@@ -906,36 +937,90 @@ void gemm_i8_batch(const std::int32_t* wpairs, std::size_t rows,
       break;
   }
 #endif
-  for (std::size_t r = 0; r < rows; ++r) {
+  for (std::size_t row = 0; row < rows; ++row) {
     std::int32_t a;
-    gemm_acc_batch_scalar(wpairs + r * kpairs, 1, kpairs, packed_x, &a);
-    out[r] = requantize(a, bias[r], shift, relu);
+    gemm_acc_batch_scalar(wpairs + row * kpairs, 1, kpairs, packed_x, &a);
+    out[row] = requantize(a, bias[row], shift, relu);
   }
 }
 
-void conv1d_i8_simd(const std::int8_t* w, std::size_t out_ch,
-                    std::size_t in_ch, std::size_t kernel, const std::int8_t* x,
-                    std::size_t T, const std::int32_t* bias, int shift,
-                    bool relu, std::int8_t* y) {
+void gemv_i8_simd(Isa r, const std::int8_t* w, std::size_t rows,
+                  std::size_t row_stride, std::size_t cols,
+                  const std::int8_t* x, const std::int32_t* bias, int shift,
+                  bool relu, std::int8_t* y) {
+  r = clamp_rung(r);
 #if FENIX_SIMD_X86
-  if (isa() != Isa::kScalar) {
-    const std::size_t pad = kernel / 2;
-    for (std::size_t ti = 0; ti < T; ++ti) {
-      // Valid tap window [k_lo, k_hi): taps that stay inside [0, T). Matches
-      // the scalar conv1d_i8 edge handling exactly.
-      const std::size_t k_lo = pad > ti ? pad - ti : 0;
-      const std::size_t k_hi =
-          ti + (kernel - pad) <= T ? kernel : T + pad - ti;
-      const std::size_t span = (k_hi - k_lo) * in_ch;
-      const std::int8_t* xs = x + (ti + k_lo - pad) * in_ch;
-      const std::int8_t* ws = w + k_lo * in_ch;
-      gemv_i8_simd(ws, out_ch, in_ch * kernel, span, xs, bias, shift, relu,
-                   y + ti * out_ch);
+  if (r != Isa::kScalar) {
+    std::size_t row = 0;
+    std::int32_t acc[4];
+    for (; row + 4 <= rows; row += 4) {
+      const std::int8_t* base = w + row * row_stride;
+      if (r == Isa::kAvx512) {
+        dot4_avx512(base, base + row_stride, base + 2 * row_stride,
+                    base + 3 * row_stride, x, cols, acc);
+      } else {
+        dot4_avx2(base, base + row_stride, base + 2 * row_stride,
+                  base + 3 * row_stride, x, cols, acc);
+      }
+      for (int i = 0; i < 4; ++i) {
+        y[row + i] = requantize(acc[i], bias[row + i], shift, relu);
+      }
+    }
+    for (; row < rows; ++row) {
+      if (r == Isa::kAvx512) {
+        dot1_avx512(w + row * row_stride, x, cols, acc);
+      } else {
+        dot1_avx2(w + row * row_stride, x, cols, acc);
+      }
+      y[row] = requantize(acc[0], bias[row], shift, relu);
     }
     return;
   }
 #endif
-  conv1d_i8(w, out_ch, in_ch, kernel, x, T, bias, shift, relu, y);
+  gemv_i8(w, rows, row_stride, cols, x, bias, shift, relu, y);
 }
+
+void conv1d_i8_simd(Isa r, const std::int8_t* w, const std::int32_t* wpairs,
+                    std::size_t out_ch, std::size_t in_ch, std::size_t kernel,
+                    const std::int8_t* x, std::size_t T,
+                    const std::int32_t* bias, int shift, bool relu,
+                    std::int8_t* y) {
+  r = clamp_rung(r);
+  if (r == Isa::kScalar || shift <= 0 || wpairs == nullptr) {
+    conv1d_i8(w, out_ch, in_ch, kernel, x, T, bias, shift, relu, y);
+    return;
+  }
+  const std::size_t lanes = gemm_lanes(r);
+  const std::size_t K = in_ch * kernel;
+  const std::size_t kpairs = (K + 1) / 2;
+  const std::size_t pad = kernel / 2;
+  // Position t's kernel window is rows [t, t + kernel) of the padded plane:
+  // taps that fall outside [0, T) read the zero rows and add nothing to the
+  // integer accumulators, exactly as the edge-trimmed reference skips them.
+  thread_local TimeLaneWorkspace ws;
+  ws.xpad.resize((T + 2 * pad) * in_ch);
+  std::memset(ws.xpad.data(), 0, pad * in_ch);
+  std::memcpy(ws.xpad.data() + pad * in_ch, x, T * in_ch);
+  std::memset(ws.xpad.data() + (pad + T) * in_ch, 0, pad * in_ch);
+  ws.packed.resize(kpairs * lanes);
+  ws.out.resize(out_ch * lanes);
+  const std::int8_t* xs[16];
+  for (std::size_t t0 = 0; t0 < T; t0 += lanes) {
+    const std::size_t n = std::min(lanes, T - t0);
+    for (std::size_t b = 0; b < n; ++b) {
+      xs[b] = ws.xpad.data() + (t0 + b) * in_ch;
+    }
+    gemm_pack_x(r, xs, n, K, ws.packed.data());
+    gemm_i8_batch(r, wpairs, out_ch, kpairs, ws.packed.data(), bias, shift,
+                  relu, ws.out.data());
+    for (std::size_t b = 0; b < n; ++b) {
+      std::int8_t* dst = y + (t0 + b) * out_ch;
+      const std::int8_t* src = ws.out.data() + b;
+      for (std::size_t o = 0; o < out_ch; ++o) dst[o] = src[o * lanes];
+    }
+  }
+}
+
+}  // namespace rung
 
 }  // namespace fenix::nn::kernels

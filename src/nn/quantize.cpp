@@ -391,6 +391,8 @@ QConv1D QConv1D::from(const Conv1D& c, int in_exponent, int out_exponent) {
     q.bias[i] = static_cast<std::int32_t>(
         std::llround(static_cast<double>(c.bias()[i]) * inv_scale));
   }
+  q.wpairs = kernels::pack_weight_pairs(q.w.data.data(), q.out_ch, q.w.cols,
+                                        q.w.cols);
   return q;
 }
 
@@ -404,8 +406,10 @@ void QConv1D::forward(const std::int8_t* x, std::size_t T, std::int8_t* y,
 void QConv1D::forward_simd(const std::int8_t* x, std::size_t T, std::int8_t* y,
                            bool relu) const {
   const int shift = out_exponent - (w.exponent + in_exponent);
-  kernels::conv1d_i8_simd(w.data.data(), out_ch, in_ch, kernel, x, T,
-                          bias.data(), shift, relu, y);
+  const bool paired = wpairs.size() == out_ch * ((w.cols + 1) / 2);
+  kernels::conv1d_i8_simd(w.data.data(), paired ? wpairs.data() : nullptr,
+                          out_ch, in_ch, kernel, x, T, bias.data(), shift, relu,
+                          y);
 }
 
 void QConv1D::forward_reference(const std::int8_t* x, std::size_t T, std::int8_t* y,
@@ -599,8 +603,6 @@ QuantizedCnn::QuantizedCnn(const CnnClassifier& model,
   // flag guards pathological hand-built models).
   batch_ok_ = true;
   for (const QConv1D& c : convs_) {
-    conv_wpairs_.push_back(kernels::pack_weight_pairs(c.w.data.data(), c.out_ch,
-                                                      c.w.cols, c.w.cols));
     if (c.out_exponent - (c.w.exponent + c.in_exponent) <= 0) batch_ok_ = false;
   }
   for (const QDense& f : fcs_) {
@@ -612,13 +614,13 @@ QuantizedCnn::QuantizedCnn(const CnnClassifier& model,
 
 const std::vector<std::int32_t>& QuantizedCnn::logits_q(
     const std::vector<Token>& tokens, Scratch& s) const {
-  return logits_q_impl(tokens.data(), s, /*simd=*/false);
+  return logits_q_impl(tokens.data(), s);
 }
 
 const std::vector<std::int32_t>& QuantizedCnn::logits_q_impl(
-    const Token* tokens, Scratch& s, bool simd) const {
+    const Token* tokens, Scratch& s) const {
   if (precision_ == Precision::kFp32) return logits_q_fp32(tokens, s);
-  if (precision_ != Precision::kInt8) return logits_q_sub8(tokens, s, simd);
+  if (precision_ != Precision::kInt8) return logits_q_sub8(tokens, s);
   const std::size_t T = config_.seq_len;
   const std::size_t E = config_.embed_dim();
 
@@ -638,11 +640,7 @@ const std::vector<std::int32_t>& QuantizedCnn::logits_q_impl(
                 config_.ipd_embed_dim);
   }
   for (const QConv1D& conv : convs_) {
-    if (simd) {
-      conv.forward_simd(cur, T, next, /*relu=*/true);
-    } else {
-      conv.forward(cur, T, next, /*relu=*/true);
-    }
+    conv.forward_simd(cur, T, next, /*relu=*/true);
     std::swap(cur, next);
   }
   // Average pool: integer sum, fixed-point multiply by 1/T, requantize.
@@ -656,11 +654,7 @@ const std::vector<std::int32_t>& QuantizedCnn::logits_q_impl(
   }
   std::swap(cur, next);
   for (std::size_t i = 0; i < fcs_.size(); ++i) {
-    if (simd) {
-      fcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < fcs_.size());
-    } else {
-      fcs_[i].forward(cur, next, /*relu=*/i + 1 < fcs_.size());
-    }
+    fcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < fcs_.size());
     std::swap(cur, next);
   }
   const std::size_t out_dim = fcs_.empty() ? C : fcs_.back().w.rows;
@@ -670,7 +664,7 @@ const std::vector<std::int32_t>& QuantizedCnn::logits_q_impl(
 }
 
 const std::vector<std::int32_t>& QuantizedCnn::logits_q_sub8(
-    const Token* tokens, Scratch& s, bool simd) const {
+    const Token* tokens, Scratch& s) const {
   const std::size_t T = config_.seq_len;
   const std::size_t E = config_.embed_dim();
 
@@ -690,11 +684,7 @@ const std::vector<std::int32_t>& QuantizedCnn::logits_q_sub8(
                 config_.ipd_embed_dim);
   }
   for (const QPackedConv1D& conv : pconvs_) {
-    if (simd) {
-      conv.forward_simd(cur, T, next, /*relu=*/true);
-    } else {
-      conv.forward(cur, T, next, /*relu=*/true);
-    }
+    conv.forward_simd(cur, T, next, /*relu=*/true);
     std::swap(cur, next);
   }
   const std::size_t C = pconvs_.empty() ? E : pconvs_.back().out_ch;
@@ -707,11 +697,7 @@ const std::vector<std::int32_t>& QuantizedCnn::logits_q_sub8(
   }
   std::swap(cur, next);
   for (std::size_t i = 0; i < pfcs_.size(); ++i) {
-    if (simd) {
-      pfcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < pfcs_.size());
-    } else {
-      pfcs_[i].forward(cur, next, /*relu=*/i + 1 < pfcs_.size());
-    }
+    pfcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < pfcs_.size());
     std::swap(cur, next);
   }
   const std::size_t out_dim = pfcs_.empty() ? C : pfcs_.back().w.rows;
@@ -747,7 +733,7 @@ void QuantizedCnn::predict_batch(const Token* tokens, std::size_t count,
   const std::size_t lanes = kernels::gemm_batch_lanes();
   if (!batch_ok_ || convs_.empty() || fcs_.empty() || lanes == 1) {
     for (std::size_t i = 0; i < count; ++i) {
-      const auto& q = logits_q_impl(tokens + i * T, s, /*simd=*/true);
+      const auto& q = logits_q_impl(tokens + i * T, s);
       out[i] = static_cast<std::int16_t>(std::max_element(q.begin(), q.end()) -
                                          q.begin());
     }
@@ -808,7 +794,7 @@ void QuantizedCnn::predict_batch(const Token* tokens, std::size_t count,
           xs[b] = cur + b * plane + (maxpad + t - pad) * in_ch;
         }
         kernels::gemm_pack_x(xs, n, c.w.cols, s.batch_pack.data());
-        kernels::gemm_i8_batch(conv_wpairs_[l].data(), c.out_ch, kpairs,
+        kernels::gemm_i8_batch(c.wpairs.data(), c.out_ch, kpairs,
                                s.batch_pack.data(), c.bias.data(), shift,
                                /*relu=*/true, s.batch_out.data());
         for (std::size_t b = 0; b < n; ++b) {
@@ -1102,7 +1088,7 @@ QuantizedRnn::QuantizedRnn(const RnnClassifier& model,
 
 std::int16_t QuantizedRnn::predict(const std::vector<Token>& tokens,
                                    Scratch& s) const {
-  return predict_impl(tokens.data(), s, /*simd=*/false);
+  return predict_impl(tokens.data(), s);
 }
 
 void QuantizedRnn::predict_batch(const Token* tokens, std::size_t count,
@@ -1111,7 +1097,7 @@ void QuantizedRnn::predict_batch(const Token* tokens, std::size_t count,
   const std::size_t lanes = kernels::gemm_batch_lanes();
   if (!batch_ok_ || lanes == 1) {
     for (std::size_t i = 0; i < count; ++i) {
-      out[i] = predict_impl(tokens + i * T, s, /*simd=*/true);
+      out[i] = predict_impl(tokens + i * T, s);
     }
     return;
   }
@@ -1204,13 +1190,12 @@ void QuantizedRnn::predict_batch(const Token* tokens, std::size_t count,
   }
 }
 
-std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s,
-                                        bool simd) const {
+std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s) const {
   if (precision_ == Precision::kFp32) {
     const std::vector<Token> seq(tokens, tokens + config_.seq_len);
     return float_model_->predict(seq);
   }
-  if (precision_ != Precision::kInt8) return predict_sub8(tokens, s, simd);
+  if (precision_ != Precision::kInt8) return predict_sub8(tokens, s);
   const std::size_t T = config_.seq_len;
   const std::size_t E = config_.embed_dim();
   const std::size_t U = config_.units;
@@ -1230,13 +1215,8 @@ std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s,
     std::memcpy(x, len_embed_.row(tokens[t][0]), config_.len_embed_dim);
     std::memcpy(x + config_.len_embed_dim, ipd_embed_.row(tokens[t][1]),
                 config_.ipd_embed_dim);
-    if (simd) {
-      kernels::gemv_acc_i8_simd(wx_.data.data(), U, wx_.cols, E, x, s.acc_a.data());
-      kernels::gemv_acc_i8_simd(wh_.data.data(), U, wh_.cols, U, h, s.acc_b.data());
-    } else {
-      kernels::gemv_acc_i8(wx_.data.data(), U, wx_.cols, E, x, s.acc_a.data());
-      kernels::gemv_acc_i8(wh_.data.data(), U, wh_.cols, U, h, s.acc_b.data());
-    }
+    kernels::gemv_acc_i8_simd(wx_.data.data(), U, wx_.cols, E, x, s.acc_a.data());
+    kernels::gemv_acc_i8_simd(wh_.data.data(), U, wh_.cols, U, h, s.acc_b.data());
     for (std::size_t u = 0; u < U; ++u) {
       std::int64_t acc = static_cast<std::int64_t>(cell_bias_[u]) + s.acc_a[u];
       acc += rounding_shift_right(s.acc_b[u], wh_acc_shift_);
@@ -1251,11 +1231,7 @@ std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s,
   std::int8_t* next = s.act_a.data();
   std::size_t dim = U;
   for (std::size_t i = 0; i < fcs_.size(); ++i) {
-    if (simd) {
-      fcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < fcs_.size());
-    } else {
-      fcs_[i].forward(cur, next, /*relu=*/i + 1 < fcs_.size());
-    }
+    fcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < fcs_.size());
     dim = fcs_[i].w.rows;
     std::swap(cur, next);
   }
@@ -1268,8 +1244,7 @@ std::int16_t QuantizedRnn::predict_impl(const Token* tokens, Scratch& s,
   return best;
 }
 
-std::int16_t QuantizedRnn::predict_sub8(const Token* tokens, Scratch& s,
-                                        bool simd) const {
+std::int16_t QuantizedRnn::predict_sub8(const Token* tokens, Scratch& s) const {
   const std::size_t T = config_.seq_len;
   const std::size_t E = config_.embed_dim();
   const std::size_t U = config_.units;
@@ -1281,8 +1256,7 @@ std::int16_t QuantizedRnn::predict_sub8(const Token* tokens, Scratch& s,
   s.acc_a.resize(U);
   s.acc_b.resize(U);
 
-  const bool ternary = precision_ == Precision::kTernary;
-  const int B = ternary ? 1 : 8;
+  const int B = sub8_weight_bias(precision_);
   std::int8_t* x = s.act_a.data();
   std::int8_t* h = s.act_b.data();
   std::int8_t* h_next = s.act_c.data();
@@ -1291,20 +1265,10 @@ std::int16_t QuantizedRnn::predict_sub8(const Token* tokens, Scratch& s,
     std::memcpy(x, len_embed_.row(tokens[t][0]), config_.len_embed_dim);
     std::memcpy(x + config_.len_embed_dim, ipd_embed_.row(tokens[t][1]),
                 config_.ipd_embed_dim);
-    if (simd) {
-      kernels::gemv_acc_sub8_simd(wx_ops_.biased.data(), U, E, E, B, x,
-                                  s.acc_a.data());
-      kernels::gemv_acc_sub8_simd(wh_ops_.biased.data(), U, U, U, B, h,
-                                  s.acc_b.data());
-    } else if (ternary) {
-      kernels::gemv_acc_ternary(wx_ops_.idx.data(), wx_ops_.seg.data(), U, x,
+    kernels::gemv_acc_sub8_simd(wx_ops_.biased.data(), U, E, E, B, x,
                                 s.acc_a.data());
-      kernels::gemv_acc_ternary(wh_ops_.idx.data(), wh_ops_.seg.data(), U, h,
+    kernels::gemv_acc_sub8_simd(wh_ops_.biased.data(), U, U, U, B, h,
                                 s.acc_b.data());
-    } else {
-      kernels::gemv_acc_i4(wx_ops_.plane.data(), U, E, E, x, s.acc_a.data());
-      kernels::gemv_acc_i4(wh_ops_.plane.data(), U, U, U, h, s.acc_b.data());
-    }
     for (std::size_t u = 0; u < U; ++u) {
       std::int64_t acc = static_cast<std::int64_t>(cell_bias_[u]) +
                          rounding_shift_right(s.acc_a[u], sub8_wx_shift_[u]);
@@ -1318,11 +1282,7 @@ std::int16_t QuantizedRnn::predict_sub8(const Token* tokens, Scratch& s,
   std::int8_t* next = s.act_a.data();
   std::size_t dim = U;
   for (std::size_t i = 0; i < pfcs_.size(); ++i) {
-    if (simd) {
-      pfcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < pfcs_.size());
-    } else {
-      pfcs_[i].forward(cur, next, /*relu=*/i + 1 < pfcs_.size());
-    }
+    pfcs_[i].forward_simd(cur, next, /*relu=*/i + 1 < pfcs_.size());
     dim = pfcs_[i].w.rows;
     std::swap(cur, next);
   }

@@ -76,7 +76,8 @@ struct QDense {
   void forward_reference(const std::int8_t* x, std::int8_t* y, bool relu) const;
 
   /// Explicitly vectorized GEMV (kernels::gemv_i8_simd), bit-identical to
-  /// forward(); falls back to the blocked scalar kernel without AVX2.
+  /// forward(); falls back to the blocked scalar kernel without AVX2. This is
+  /// the dispatched production path of every per-window inference.
   void forward_simd(const std::int8_t* x, std::int8_t* y, bool relu) const;
 
   static QDense from(const Dense& d, int in_exponent, int out_exponent);
@@ -89,6 +90,10 @@ struct QConv1D {
   std::vector<std::int32_t> bias;
   int in_exponent = 0;
   int out_exponent = 0;
+  /// kernels::pack_weight_pairs(w): the time-lane GEMM operand, built by
+  /// from(). A layer assembled field by field without it runs forward_simd on
+  /// the blocked kernel.
+  std::vector<std::int32_t> wpairs;
 
   /// x: T*in_ch row-major, y: T*out_ch. ReLU folded in. Blocked kernel
   /// (kernels::conv1d_i8).
@@ -98,8 +103,9 @@ struct QConv1D {
   void forward_reference(const std::int8_t* x, std::size_t T, std::int8_t* y,
                          bool relu) const;
 
-  /// Explicitly vectorized convolution (kernels::conv1d_i8_simd),
-  /// bit-identical to forward().
+  /// Time-lane GEMM convolution (kernels::conv1d_i8_simd): the T positions
+  /// are the GEMM lanes. Bit-identical to forward(); the dispatched
+  /// production path of every per-window inference.
   void forward_simd(const std::int8_t* x, std::size_t T, std::int8_t* y,
                     bool relu) const;
 
@@ -274,8 +280,10 @@ class QuantizedCnn {
 
   Precision precision() const { return precision_; }
 
-  /// Allocation-free hot path: runs the blocked kernels inside `scratch` and
-  /// returns scratch.logits.
+  /// Allocation-free hot path: runs the dispatched SIMD kernels (time-lane
+  /// GEMM convolutions, vectorized GEMV FC layers; the sub-INT8 tiers'
+  /// biased-plane kernels) inside `scratch` and returns scratch.logits.
+  /// Bit-identical to logits_q_reference on every ISA rung.
   const std::vector<std::int32_t>& logits_q(const std::vector<Token>& tokens,
                                             Scratch& scratch) const;
   std::int16_t predict(const std::vector<Token>& tokens, Scratch& scratch) const;
@@ -285,7 +293,7 @@ class QuantizedCnn {
   std::vector<std::int32_t> logits_q(const std::vector<Token>& tokens) const;
 
   /// Scalar reference pipeline (forward_reference layers, allocating),
-  /// retained for bit-exactness testing against the blocked path.
+  /// retained for bit-exactness testing against the dispatched path.
   std::vector<std::int32_t> logits_q_reference(const std::vector<Token>& tokens) const;
 
   /// Batched inference over `count` windows laid out row-major as
@@ -301,10 +309,10 @@ class QuantizedCnn {
   std::uint64_t macs_per_inference() const;
 
  private:
-  const std::vector<std::int32_t>& logits_q_impl(const Token* tokens, Scratch& scratch,
-                                                 bool simd) const;
-  const std::vector<std::int32_t>& logits_q_sub8(const Token* tokens, Scratch& scratch,
-                                                 bool simd) const;
+  const std::vector<std::int32_t>& logits_q_impl(const Token* tokens,
+                                                 Scratch& scratch) const;
+  const std::vector<std::int32_t>& logits_q_sub8(const Token* tokens,
+                                                 Scratch& scratch) const;
   const std::vector<std::int32_t>& logits_q_fp32(const Token* tokens,
                                                  Scratch& scratch) const;
 
@@ -321,9 +329,9 @@ class QuantizedCnn {
   std::int32_t pool_multiplier_ = 0;  ///< round(2^15 / seq_len)
   int pool_in_exponent_ = 0;
   int pool_out_exponent_ = 0;
-  // Batch-lane GEMM operands: per-layer weight pairs (pack_weight_pairs) and
-  // whether every layer satisfies the batched kernels' shift > 0 contract.
-  std::vector<std::vector<std::int32_t>> conv_wpairs_;
+  // Batch-lane GEMM operands: FC weight pairs (pack_weight_pairs; the conv
+  // layers carry their own) and whether every layer satisfies the batched
+  // kernels' shift > 0 contract.
   std::vector<std::vector<std::int32_t>> fc_wpairs_;
   bool batch_ok_ = false;
 };
@@ -341,7 +349,8 @@ class QuantizedRnn {
 
   Precision precision() const { return precision_; }
 
-  /// Allocation-free hot path (blocked recurrent + FC kernels).
+  /// Allocation-free hot path (dispatched SIMD recurrent + FC kernels),
+  /// bit-identical to predict_reference.
   std::int16_t predict(const std::vector<Token>& tokens, Scratch& scratch) const;
 
   /// Convenience wrapper paying for a fresh Scratch per call.
@@ -359,8 +368,8 @@ class QuantizedRnn {
   std::uint64_t macs_per_inference() const;
 
  private:
-  std::int16_t predict_impl(const Token* tokens, Scratch& scratch, bool simd) const;
-  std::int16_t predict_sub8(const Token* tokens, Scratch& scratch, bool simd) const;
+  std::int16_t predict_impl(const Token* tokens, Scratch& scratch) const;
+  std::int16_t predict_sub8(const Token* tokens, Scratch& scratch) const;
 
   Precision precision_ = Precision::kInt8;
   const RnnClassifier* float_model_ = nullptr;  ///< Set only for kFp32.

@@ -1,15 +1,19 @@
-// Bit-exactness tests for the blocked INT8 kernels against their scalar
-// references. The blocked GEMV/conv1d paths reorder int32 partial
+// Bit-exactness tests for the blocked, SIMD and time-lane INT8 kernels
+// against their scalar references. Every fast path reorders int32 partial
 // accumulations; integer addition is associative, so as long as partials
 // cannot overflow (guaranteed for the layer sizes here) every reordering
 // must produce the same bits as the sequential reference — these tests pin
 // that contract across randomized shapes, including dims that are not a
-// multiple of the 4-wide block.
+// multiple of the 4-wide block or of any lane width, at every ISA rung the
+// host supports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "nn/kernel_rungs.hpp"
 #include "nn/kernels.hpp"
 #include "nn/quantize.hpp"
 #include "sim/random.hpp"
@@ -56,7 +60,19 @@ QConv1D random_qconv(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,
   }
   c.in_exponent = -6;
   c.out_exponent = -4;
+  c.wpairs = kernels::pack_weight_pairs(c.w.data.data(), out_ch, c.w.cols,
+                                        c.w.cols);
   return c;
+}
+
+// Every rung the host can run, narrowest first.
+std::vector<kernels::rung::Isa> host_rungs() {
+  std::vector<kernels::rung::Isa> rungs;
+  for (const auto r : {kernels::rung::Isa::kScalar, kernels::rung::Isa::kAvx2,
+                       kernels::rung::Isa::kAvx512}) {
+    if (kernels::rung::supported(r)) rungs.push_back(r);
+  }
+  return rungs;
 }
 
 TEST(Kernels, DotMatchesNaive) {
@@ -196,6 +212,144 @@ TEST(SimdKernels, Conv1dMatchesScalarBitExact) {
   }
 }
 
+// ------------------------------------------------ every ISA rung
+//
+// The dispatched kernels take the widest rung the CPU has, so the tests
+// above only ever see that one. These call the per-rung forms: on an AVX-512
+// host the 8-lane AVX2 chunking (T = 9 needs a second chunk) and the scalar
+// rung run here and nowhere else.
+
+TEST(SimdKernels, DispatchedRungIsNamedAndSupported) {
+  const auto r = kernels::rung::dispatched();
+  EXPECT_TRUE(kernels::rung::supported(r));
+  EXPECT_TRUE(kernels::rung::supported(kernels::rung::Isa::kScalar));
+  EXPECT_EQ(std::string(kernels::isa_name()), kernels::rung::name(r));
+  EXPECT_EQ(kernels::gemm_batch_lanes(), kernels::rung::gemm_lanes(r));
+}
+
+TEST(SimdKernels, GemvEveryRungMatchesReference) {
+  sim::RandomStream rng(25);
+  for (const auto r : host_rungs()) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const std::size_t rows = 1 + rng.uniform_int(70);
+      const std::size_t cols = 1 + rng.uniform_int(140);
+      const auto layer = random_qdense(rows, cols, rng);
+      std::vector<std::int8_t> x(cols);
+      fill_i8(x, rng);
+      const bool relu = (trial & 1) != 0;
+      const int shift = layer.out_exponent - (layer.w.exponent + layer.in_exponent);
+      std::vector<std::int8_t> y(rows), y_reference(rows);
+      kernels::rung::gemv_i8_simd(r, layer.w.data.data(), rows, cols, cols,
+                                  x.data(), layer.bias.data(), shift, relu,
+                                  y.data());
+      layer.forward_reference(x.data(), y_reference.data(), relu);
+      ASSERT_EQ(y, y_reference) << kernels::rung::name(r) << " " << rows << "x"
+                                << cols << " relu=" << relu;
+    }
+  }
+}
+
+TEST(SimdKernels, BatchGemmEveryRungMatchesPerLaneGemv) {
+  sim::RandomStream rng(26);
+  for (const auto r : host_rungs()) {
+    const std::size_t lanes = kernels::rung::gemm_lanes(r);
+    for (int trial = 0; trial < 30; ++trial) {
+      const std::size_t rows = 1 + rng.uniform_int(40);
+      const std::size_t K = 1 + rng.uniform_int(100);
+      const std::size_t used = 1 + rng.uniform_int(lanes);
+      const auto layer = random_qdense(rows, K, rng);
+      const auto wpairs = kernels::pack_weight_pairs(layer.w.data.data(), rows, K, K);
+      std::vector<std::vector<std::int8_t>> xs(used, std::vector<std::int8_t>(K));
+      const std::int8_t* ptrs[16];
+      for (std::size_t b = 0; b < used; ++b) {
+        fill_i8(xs[b], rng);
+        ptrs[b] = xs[b].data();
+      }
+      const bool relu = (trial & 1) != 0;
+      const int shift = layer.out_exponent - (layer.w.exponent + layer.in_exponent);
+      std::vector<std::int32_t> packed((K + 1) / 2 * lanes);
+      std::vector<std::int8_t> out(rows * lanes);
+      kernels::rung::gemm_pack_x(r, ptrs, used, K, packed.data());
+      kernels::rung::gemm_i8_batch(r, wpairs.data(), rows, (K + 1) / 2,
+                                   packed.data(), layer.bias.data(), shift, relu,
+                                   out.data());
+      for (std::size_t b = 0; b < used; ++b) {
+        std::vector<std::int8_t> y_reference(rows);
+        layer.forward_reference(xs[b].data(), y_reference.data(), relu);
+        for (std::size_t o = 0; o < rows; ++o) {
+          ASSERT_EQ(out[o * lanes + b], y_reference[o])
+              << kernels::rung::name(r) << " rows=" << rows << " K=" << K
+              << " lane " << b << "/" << used << " row " << o;
+        }
+      }
+    }
+  }
+}
+
+TEST(TimeLaneConv, EveryRungMatchesReferenceBitExact) {
+  sim::RandomStream rng(27);
+  for (const auto r : host_rungs()) {
+    for (std::size_t kernel : {1u, 3u, 5u}) {
+      for (std::size_t T : {1u, 2u, 9u, 16u, 17u, 33u}) {
+        // One odd in_ch (a weight/activation pair then straddles two taps)
+        // and one drawn freely, each with a random out_ch.
+        for (const std::size_t in_ch : {1 + 2 * rng.uniform_int(12),
+                                        1 + rng.uniform_int(40)}) {
+          const std::size_t out_ch = 1 + rng.uniform_int(70);
+          const auto layer = random_qconv(in_ch, out_ch, kernel, rng);
+          const int shift =
+              layer.out_exponent - (layer.w.exponent + layer.in_exponent);
+          std::vector<std::int8_t> x(T * in_ch);
+          fill_i8(x, rng);
+          for (bool relu : {false, true}) {
+            std::vector<std::int8_t> y(T * out_ch), y_reference(T * out_ch);
+            kernels::rung::conv1d_i8_simd(r, layer.w.data.data(),
+                                          layer.wpairs.data(), out_ch, in_ch,
+                                          kernel, x.data(), T, layer.bias.data(),
+                                          shift, relu, y.data());
+            layer.forward_reference(x.data(), T, y_reference.data(), relu);
+            ASSERT_EQ(y, y_reference)
+                << kernels::rung::name(r) << " in=" << in_ch << " out=" << out_ch
+                << " k=" << kernel << " T=" << T << " relu=" << relu;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TimeLaneConv, NonPositiveShiftAndUnpairedLayerFallBackBitExact) {
+  sim::RandomStream rng(28);
+  for (const auto r : host_rungs()) {
+    // shift = out_e - (w_e + in_e) = out_e + 13: 0 and -2 take the blocked
+    // kernel (its int64 left shift is the reference semantics); 9 without
+    // wpairs takes it too.
+    for (const int out_exponent : {-13, -15, -4}) {
+      for (const std::size_t T : {1u, 9u, 17u}) {
+        auto layer = random_qconv(7, 13, 3, rng);
+        layer.out_exponent = out_exponent;
+        if (out_exponent == -4) layer.wpairs.clear();
+        const int shift =
+            layer.out_exponent - (layer.w.exponent + layer.in_exponent);
+        std::vector<std::int8_t> x(T * 7);
+        fill_i8(x, rng);
+        for (bool relu : {false, true}) {
+          std::vector<std::int8_t> y(T * 13), y_simd(T * 13), y_reference(T * 13);
+          kernels::rung::conv1d_i8_simd(
+              r, layer.w.data.data(),
+              layer.wpairs.empty() ? nullptr : layer.wpairs.data(), 13, 7, 3,
+              x.data(), T, layer.bias.data(), shift, relu, y.data());
+          layer.forward_simd(x.data(), T, y_simd.data(), relu);
+          layer.forward_reference(x.data(), T, y_reference.data(), relu);
+          ASSERT_EQ(y, y_reference) << kernels::rung::name(r) << " shift=" << shift
+                                    << " T=" << T << " relu=" << relu;
+          ASSERT_EQ(y_simd, y_reference) << "shift=" << shift << " T=" << T;
+        }
+      }
+    }
+  }
+}
+
 TEST(QConv1DKernels, BlockedMatchesReferenceBitExact) {
   sim::RandomStream rng(15);
   const std::size_t shapes[][3] = {{1, 1, 1},  {1, 4, 3},  {3, 5, 3},
@@ -262,6 +416,55 @@ TEST(QuantizedCnnKernels, BlockedLogitsMatchReferenceBitExact) {
     // The allocating convenience wrapper must agree too.
     ASSERT_EQ(qmodel.logits_q(s.tokens), reference);
     ASSERT_EQ(qmodel.predict(s.tokens, scratch), qmodel.predict(s.tokens));
+  }
+}
+
+// A window longer than one AVX-512 chunk (T = 17), an odd embedding width
+// and kernel 5, at every precision: the dispatched logits_q / predict must
+// equal the scalar reference pipeline bit for bit.
+TEST(QuantizedCnnKernels, LongOddWindowMatchesReferenceAtEveryPrecision) {
+  CnnConfig config;
+  config.seq_len = 17;
+  config.len_embed_dim = 5;
+  config.ipd_embed_dim = 4;
+  config.conv_channels = {7, 12};
+  config.kernel = 5;
+  config.fc_dims = {10};
+  config.num_classes = 3;
+  const auto samples = [](std::size_t per_class, std::uint64_t seed) {
+    sim::RandomStream rng(seed);
+    std::vector<SeqSample> out;
+    for (std::size_t c = 0; c < 3; ++c) {
+      for (std::size_t i = 0; i < per_class; ++i) {
+        SeqSample s;
+        s.label = static_cast<std::int16_t>(c);
+        for (std::size_t t = 0; t < 17; ++t) {
+          s.tokens.push_back(
+              {static_cast<std::uint16_t>(40 * c + rng.uniform_int(30)),
+               static_cast<std::uint16_t>(rng.uniform_int(8))});
+        }
+        out.push_back(std::move(s));
+      }
+    }
+    return out;
+  };
+  CnnClassifier model(config, 37);
+  const auto train = samples(15, 90);
+  TrainOptions opts;
+  opts.epochs = 2;
+  model.fit(train, opts);
+  const auto test = samples(20, 91);
+  for (const Precision p : {Precision::kInt8, Precision::kInt4,
+                            Precision::kTernary, Precision::kFp32}) {
+    const QuantizedCnn qmodel(model, train, p);
+    Scratch scratch;
+    for (const SeqSample& s : test) {
+      const auto reference = qmodel.logits_q_reference(s.tokens);
+      ASSERT_EQ(qmodel.logits_q(s.tokens, scratch), reference) << precision_name(p);
+      const auto best = std::max_element(reference.begin(), reference.end()) -
+                        reference.begin();
+      ASSERT_EQ(qmodel.predict(s.tokens, scratch), best) << precision_name(p);
+    }
   }
 }
 

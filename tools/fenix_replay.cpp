@@ -501,8 +501,11 @@ int cmd_run(int argc, char** argv) {
               << ")\n";
   }
   // Same health table the benches emit (telemetry::MetricRegistry), so every
-  // reporting surface prints one consistent set of failure counters.
+  // reporting surface prints one consistent set of failure counters. The
+  // kernel rung the nn kernels dispatched to follows it: host timings of
+  // this run depend on it, its results never do.
   std::cout << "\nHealth counters:\n" << system.health_metrics(report).render();
+  std::cout << "kernel_isa: " << nn::kernels::isa_name() << "\n";
   return 0;
 }
 
